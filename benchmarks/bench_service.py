@@ -5,10 +5,12 @@ sharded store primed with version pairs, then a thread pool of clients
 hammers the submit-diff endpoint: each request submits a job and polls
 it to completion, so the measured latency is the full user-visible
 round trip (HTTP submit + queue wait + diff + HTTP poll).  Two passes
-run — **cold** (empty diff cache: every job computes) and **warm**
-(primed cache: every job is a digest hit) — and every service-computed
-signature is asserted bit-identical to the direct
-:meth:`Session.diff` computation before any timing claim is made.
+are timed — **cold** (every request submitted with ``use_cache=False``:
+every job computes, asserted by ``cached == 0``) and **warm** (after
+an untimed round primes the cache: every job is a digest hit, asserted
+by ``cached == requests``) — and every service-computed signature
+digest is asserted equal to the direct :meth:`Session.diff`
+computation's before any timing claim is made.
 
 One JSON document lands in ``results/service.json`` (the CI
 ``service-smoke`` job uploads it as a workflow artifact), reporting
@@ -32,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from conftest import write_result
 
 from repro.api import Session, TraceStore
-from repro.core.diffs import result_signature
+from repro.core.diffs import signature_digest
 from repro.core.traces import Trace, TraceBuilder
 from repro.core.values import prim
 from repro.service import ReproService, ServiceClient, ServiceThread
@@ -66,27 +68,28 @@ def _prime_store(store: TraceStore) -> list[tuple[str, str]]:
     return pairs
 
 
-def _run_pass(url: str, pairs, label: str) -> tuple[dict, list]:
+def _run_pass(url: str, pairs, label: str, *, requests: int = REQUESTS,
+              use_cache: bool = True) -> tuple[dict, list]:
     def one_request(n: int):
         client = ServiceClient(url)
         left, right = pairs[n % len(pairs)]
         started = time.perf_counter()
-        job = client.submit_diff(left, right)
+        job = client.submit_diff(left, right, use_cache=use_cache)
         record = client.wait(job, timeout=300, poll=0.005)
         seconds = time.perf_counter() - started
         return seconds, (left, right), record["result"]
 
     started = time.perf_counter()
     with ThreadPoolExecutor(max_workers=CLIENTS) as pool:
-        outcomes = list(pool.map(one_request, range(REQUESTS)))
+        outcomes = list(pool.map(one_request, range(requests)))
     wall = time.perf_counter() - started
 
     latencies = sorted(seconds for seconds, _, _ in outcomes)
     row = {
         "pass": label,
-        "requests": REQUESTS,
+        "requests": requests,
         "wall_seconds": round(wall, 4),
-        "jobs_per_sec": round(REQUESTS / wall, 3) if wall else 0.0,
+        "jobs_per_sec": round(requests / wall, 3) if wall else 0.0,
         "latency_p50_ms": round(
             latencies[len(latencies) // 2] * 1000, 3),
         "latency_p95_ms": round(
@@ -104,21 +107,23 @@ def test_service_throughput_and_latency(tmp_path):
 
     # Ground truth: direct in-process diffs, no cache.
     direct = Session(store=store, cache=False)
-    expected = {
-        pair: json.dumps(result_signature(direct.diff(*pair)),
-                         sort_keys=True, default=list)
-        for pair in pairs
-    }
+    expected = {pair: signature_digest(direct.diff(*pair))
+                for pair in pairs}
 
     service = ReproService(store, workers=WORKERS)
     with ServiceThread(service, timeout=60) as running:
-        cold_row, cold = _run_pass(running.url, pairs, "cold")
+        cold_row, cold = _run_pass(running.url, pairs, "cold",
+                                   use_cache=False)
+        # Untimed: one request per pair fills the cache.
+        _, primed = _run_pass(running.url, pairs, "prime",
+                              requests=len(pairs))
         warm_row, warm = _run_pass(running.url, pairs, "warm")
 
     # Identity first: every service result matches the direct diff.
-    for _, pair, result in cold + warm:
+    for _, pair, result in cold + primed + warm:
         assert result["signature"] == expected[pair], pair
         assert result["num_diffs"] > 0
+    assert cold_row["cached"] == 0  # cold pass fully computed
     assert warm_row["cached"] == REQUESTS  # warm pass fully cache-hit
 
     document = {

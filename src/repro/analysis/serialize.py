@@ -579,7 +579,8 @@ def _load_v3(view: memoryview, path: Path, keepalive=None) -> Trace:
             f"corrupt trace row: kid {max(decoder.kids)} outside the "
             f"{key_count}-entry key table")
     entries = LazyEntrySequence(decoder.entry, count,
-                                tids=decoder.tids, owner=keepalive)
+                                tids=decoder.tids, eids=decoder.eids,
+                                owner=keepalive)
     # The key table itself is also lazy (a thunk Trace materialises on
     # first access): a load that never consults =e keys — a capture
     # outcome cached by digest, a store listing — never parses the key

@@ -376,9 +376,11 @@ class Session:
 
         With ``config.interned`` the pair shares one key table: the
         table both traces already carry when it is common (this
-        session's captures), a fresh pair table otherwise.  Engines
-        registered before interning existed are called without the
-        ``key_table`` kwarg.
+        session's captures), a fresh pair table otherwise.  The pair
+        table is resolved only when an engine computes — a cache hit
+        never reads either trace's key table, so a v3-loaded pair never
+        parses its key sections.  Engines registered before interning
+        existed are called without the ``key_table`` kwarg.
 
         When the session carries a :class:`~repro.cache.DiffCache` and
         the backend advertises ``cacheable``, the cache is consulted
@@ -395,7 +397,11 @@ class Session:
         right_trace = self.resolve_trace(right)
         kwargs = {}
         if self.config.interned and accepts_key_table(backend):
-            kwargs["key_table"] = KeyTable.for_pair(left_trace, right_trace)
+            # Deferred: resolving the pair table reads both traces' key
+            # tables (a full key-section parse on a v3 load), which a
+            # cache hit never needs.
+            kwargs["key_table"] = lambda: KeyTable.for_pair(left_trace,
+                                                            right_trace)
         if self.executor.name != "serial" and accepts_executor(backend):
             kwargs["executor"] = self.executor
         cache = self.cache if use_cache else None

@@ -21,6 +21,14 @@ with two tiers:
   store layer's :func:`~repro.api.store.locked_file` discipline).
   A truncated or hand-edited entry reads as a *miss*, never an error.
 
+The cost of a hit depends only on what the result references, not on
+the length of the traces: the probe needs just the content digests
+(seeded from the header on v3 loads), the pair's key table is never
+resolved (:func:`cached_engine_diff` defers it to the compute path),
+and :func:`~repro.core.diffs.result_from_wire` checks the stored eids
+against each trace's eid column with int work, building only the
+entries the difference sequences name.
+
 Correctness rests on two contracts, both documented at their homes:
 
 * :meth:`Trace.content_digest` covers everything the differencing
@@ -441,10 +449,16 @@ def cached_engine_diff(cache: "DiffCache | None", engine, left: Trace,
     compute path, so a whole-result *miss* can still hit at segment
     granularity — an edited scenario re-diffs only the gaps that
     changed.
+
+    A ``key_table`` passed as a zero-argument callable is called only
+    on the compute path (a miss, or no caching), so a hit never pays
+    for resolving the pair's key table.
     """
     from repro.api.engines import accepts_kwarg, is_cacheable
 
     def compute() -> DiffResult:
+        if callable(kwargs.get("key_table")):
+            kwargs["key_table"] = kwargs["key_table"]()
         return engine.diff(left, right, config=config, counter=counter,
                            budget=budget, **kwargs)
 

@@ -13,11 +13,14 @@ analysis of Sec. 4.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 from repro.core.entries import EOF, TraceEntry
 from repro.core.lcs import OpCounter
-from repro.core.traces import Trace
+from repro.core.traces import LazyEntrySequence, Trace
 
 
 @dataclass(slots=True)
@@ -174,8 +177,8 @@ def result_to_wire(result: DiffResult,
         "peak_cells": result.peak_cells,
         "similar_left": sorted(result.similar_left),
         "similar_right": sorted(result.similar_right),
-        "match_pairs": [list(pair) for pair in result.match_pairs],
-        "anchor_pairs": [list(pair) for pair in result.anchor_pairs],
+        "match_pairs": list(map(list, result.match_pairs)),
+        "anchor_pairs": list(map(list, result.anchor_pairs)),
         "sequences": [{"kind": seq.kind,
                        "left": [e.eid for e in seq.left_entries],
                        "right": [e.eid for e in seq.right_entries]}
@@ -189,48 +192,62 @@ def result_from_wire(wire: dict, left: Trace, right: Trace) -> DiffResult:
     """Inverse of :func:`result_to_wire`, rehydrated over the caller's
     ``left``/``right`` traces.
 
-    Raises ``ValueError`` on any mismatch — unknown wire version, or an
-    eid the traces do not contain (a digest collision or a hand-edited
-    cache file) — so cache layers can treat a bad entry as a miss
-    rather than returning a corrupt result.
+    Entry ids resolve through each trace's eid column when it has one
+    (v3-loaded traces and their slices,
+    :meth:`~repro.core.traces.LazyEntrySequence.eid_lookup`): only the
+    entries the difference sequences name are built, so the cost of a
+    rehydrate follows the wire, not the length of the traces.
+    List-backed traces resolve through an ``{eid: entry}`` map.
+
+    Every eid field — the similarity sets, matched and anchor pairs,
+    and the sequences — is checked against the pair (``EOF.eid``
+    allowed, as the differs may pad with the sentinel).  Raises
+    ``ValueError`` on any mismatch — unknown wire version, a malformed
+    field, or an eid the traces do not contain (a digest collision or a
+    hand-edited cache file) — so cache layers can treat a bad entry as
+    a miss rather than returning a corrupt result.
     """
     if not isinstance(wire, dict) \
             or wire.get("version") != RESULT_WIRE_VERSION:
         version = wire.get("version") if isinstance(wire, dict) else wire
         raise ValueError(
             f"unsupported diff-result wire version: {version!r}")
-
-    def entry_map(trace: Trace) -> dict[int, TraceEntry]:
-        mapping = {entry.eid: entry for entry in trace.entries}
-        mapping[EOF.eid] = EOF  # the differs may pad with the sentinel
-        return mapping
-
-    by_left = entry_map(left)
-    by_right = entry_map(right)
-
-    def pick(mapping: dict[int, TraceEntry], eids) -> list[TraceEntry]:
-        try:
-            return [mapping[eid] for eid in eids]
-        except KeyError as missing:
-            raise ValueError(f"diff-result wire references eid "
-                             f"{missing.args[0]} absent from the trace "
-                             f"pair") from None
-
+    held_l, entry_l = _eid_lookup(left)
+    held_r, entry_r = _eid_lookup(right)
     try:
-        sequences = [DifferenceSequence(
-            kind=seq["kind"],
-            left_entries=pick(by_left, seq["left"]),
-            right_entries=pick(by_right, seq["right"]))
-            for seq in wire["sequences"]]
+        similar_left = set(wire["similar_left"])
+        similar_right = set(wire["similar_right"])
+        match_pairs = list(map(tuple, wire["match_pairs"]))
+        anchor_pairs = list(map(tuple, wire["anchor_pairs"]))
+        raw_sequences = [(seq["kind"], seq["left"], seq["right"])
+                         for seq in wire["sequences"]]
+        pairs = match_pairs + anchor_pairs
+        if set(map(len, pairs)) - {2}:
+            raise ValueError("malformed diff-result wire: an eid pair "
+                             "is not a (left, right) pair")
+        _check_eids(held_l, similar_left)
+        _check_eids(held_r, similar_right)
+        _check_eids(held_l, list(map(itemgetter(0), pairs)))
+        _check_eids(held_r, list(map(itemgetter(1), pairs)))
+        sequences = []
+        for kind, left_eids, right_eids in raw_sequences:
+            _check_eids(held_l, left_eids)
+            _check_eids(held_r, right_eids)
+            sequences.append(DifferenceSequence(
+                kind=kind,
+                left_entries=[EOF if eid == EOF.eid else entry_l(eid)
+                              for eid in left_eids],
+                right_entries=[EOF if eid == EOF.eid else entry_r(eid)
+                               for eid in right_eids]))
         counter = OpCounter(compares=wire["counter"]["compares"],
                             charged=wire["counter"]["charged"])
         return DiffResult(
             left=left,
             right=right,
-            similar_left=set(wire["similar_left"]),
-            similar_right=set(wire["similar_right"]),
-            match_pairs=[tuple(pair) for pair in wire["match_pairs"]],
-            anchor_pairs=[tuple(pair) for pair in wire["anchor_pairs"]],
+            similar_left=similar_left,
+            similar_right=similar_right,
+            match_pairs=match_pairs,
+            anchor_pairs=anchor_pairs,
             sequences=sequences,
             counter=counter,
             algorithm=wire["algorithm"],
@@ -239,6 +256,41 @@ def result_from_wire(wire: dict, left: Trace, right: Trace) -> DiffResult:
         )
     except (KeyError, TypeError) as error:
         raise ValueError(f"malformed diff-result wire: {error}") from None
+
+
+def _eid_lookup(trace: Trace):
+    """``(held, entry)`` for one side of a wire: the eids ``trace``
+    holds and a builder of the entry holding one of them."""
+    entries = trace.entries
+    if isinstance(entries, LazyEntrySequence):
+        lookup = entries.eid_lookup()
+        if lookup is not None:
+            return lookup
+    mapping = dict(zip(map(attrgetter("eid"), entries), entries))
+    return mapping, mapping.__getitem__
+
+
+def _check_eids(held, eids) -> None:
+    """Raise ``ValueError`` unless every eid (``EOF.eid`` aside) is in
+    ``held``.  The common case is settled at C speed — a bounds test
+    when ``held`` is a contiguous range, a key-set test when it is a
+    dict; the per-eid loop only runs when that fails."""
+    if not eids:
+        return
+    # ``sum`` stays an int only when every eid is one; a JSON float
+    # such as 0.5 would otherwise pass the bounds test below.
+    if type(sum(eids)) is not int:
+        raise ValueError("diff-result wire carries a non-integer eid")
+    if type(held) is range:
+        if held.step == 1 and held.start <= min(eids) \
+                and max(eids) < held.stop:
+            return
+    elif held.keys() >= set(eids):
+        return
+    for eid in eids:
+        if eid not in held and eid != EOF.eid:
+            raise ValueError(f"diff-result wire references eid {eid!r} "
+                             f"absent from the trace pair")
 
 
 def result_identity(result: DiffResult) -> tuple:
@@ -271,12 +323,23 @@ def result_signature(result: DiffResult) -> tuple:
     wire.pop("seconds")
     return (tuple(sorted(wire.pop("similar_left"))),
             tuple(sorted(wire.pop("similar_right"))),
-            tuple(tuple(p) for p in wire.pop("match_pairs")),
-            tuple(tuple(p) for p in wire.pop("anchor_pairs")),
+            tuple(map(tuple, wire.pop("match_pairs"))),
+            tuple(map(tuple, wire.pop("anchor_pairs"))),
             tuple((s["kind"], tuple(s["left"]), tuple(s["right"]))
                   for s in wire.pop("sequences")),
             tuple(sorted(wire.pop("counter").items())),
             tuple(sorted(wire.items())))
+
+
+def signature_digest(result: DiffResult) -> str:
+    """A fixed-size digest of :func:`result_signature`: blake2b over its
+    canonical JSON, so two digests are equal exactly when the
+    signatures are (what a job record carries instead of the full
+    signature text, which runs to hundreds of KB on real traces)."""
+    text = json.dumps(result_signature(result), sort_keys=True,
+                      default=list)
+    return hashlib.blake2b(text.encode("utf-8"),
+                           digest_size=32).hexdigest()
 
 
 def build_sequences(left: Trace, right: Trace,

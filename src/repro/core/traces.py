@@ -35,24 +35,34 @@ class LazyEntrySequence:
     entry is decoded at most once per loaded trace no matter how the
     trace is sliced.  ``tids`` optionally carries the backing thread-id
     column (any int sequence) so :meth:`Trace.thread_ids` never has to
-    materialise entries at all; ``owner`` pins whatever object keeps
-    the backing buffer alive (e.g. a mapped shared-memory segment).
+    materialise entries at all; ``eids`` likewise carries the backing
+    entry-id column (an int64 buffer), so :meth:`eid_lookup` resolves
+    eids to entries with int work only; ``owner`` pins whatever object
+    keeps the backing buffer alive (e.g. a mapped shared-memory
+    segment).
 
     The core layer defines only the container contract; decoders live
     with their formats (:mod:`repro.analysis.serialize`).
     """
 
-    __slots__ = ("_decode", "_positions", "_cache", "_tids", "owner")
+    __slots__ = ("_decode", "_positions", "_cache", "_tids", "_eids",
+                 "_dense", "owner")
 
     def __init__(self, decode, length: int | None = None, *,
-                 tids=None, owner=None, _positions: range | None = None,
-                 _cache: "list | None" = None):
+                 tids=None, eids=None, owner=None,
+                 _positions: range | None = None,
+                 _cache: "list | None" = None,
+                 _dense: "list | None" = None):
         self._decode = decode
         if _positions is None:
             _positions = range(length or 0)
         self._positions = _positions
         self._cache = [None] * len(_positions) if _cache is None else _cache
         self._tids = tids
+        self._eids = eids
+        # Whether the eid column equals its backing positions — checked
+        # at most once per backing, the one slot shared by every slice.
+        self._dense = [None] if _dense is None else _dense
         self.owner = owner
 
     def __len__(self) -> int:
@@ -67,9 +77,10 @@ class LazyEntrySequence:
     def __getitem__(self, index):
         if isinstance(index, slice):
             return LazyEntrySequence(self._decode, tids=self._tids,
-                                     owner=self.owner,
+                                     eids=self._eids, owner=self.owner,
                                      _positions=self._positions[index],
-                                     _cache=self._cache)
+                                     _cache=self._cache,
+                                     _dense=self._dense)
         return self._entry_at(self._positions[index])
 
     def __iter__(self) -> Iterator[TraceEntry]:
@@ -94,6 +105,31 @@ class LazyEntrySequence:
             return None
         column = self._tids
         return (column[position] for position in self._positions)
+
+    def eid_lookup(self):
+        """``(held, entry)`` resolving entry ids through the eid column
+        without building a single entry, or ``None`` when the decoder
+        supplied no column.
+
+        ``held`` is the set of eids this sequence holds: a ``range``
+        when the column equals its backing positions (every captured
+        trace numbers entries 0..n-1, and slices keep their eids), a
+        dict keyed by eid otherwise.  ``entry(eid)`` builds (or
+        recalls) the entry holding ``eid``, which must be in ``held``.
+        """
+        column = self._eids
+        if column is None:
+            return None
+        dense = self._dense[0]
+        if dense is None:
+            # Native-order bytes on both sides, so one C-level compare.
+            dense = self._dense[0] = memoryview(column).tobytes() == \
+                array("q", range(len(column))).tobytes()
+        positions = self._positions
+        if dense:
+            return positions, self._entry_at
+        index = {column[position]: position for position in positions}
+        return index, lambda eid: self._entry_at(index[eid])
 
 
 class Trace:

@@ -47,7 +47,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.analysis.serialize import loads_trace
 from repro.api.session import Session
 from repro.api.store import TraceStore
-from repro.core.diffs import result_signature
+from repro.core.diffs import signature_digest
 from repro.service.jobs import (DONE, ERROR, RUNNING, Job, JobQueueFull,
                                 QUEUED)
 
@@ -267,8 +267,6 @@ class ReproService:
             left, right, engine=params.get("engine") or None,
             use_cache=bool(params.get("use_cache", True)))
         seconds = time.perf_counter() - started
-        signature = json.dumps(result_signature(result), sort_keys=True,
-                               default=list)
         return {
             "left": left, "right": right,
             "engine": result.algorithm,
@@ -278,7 +276,7 @@ class ReproService:
                          if result.counter is not None else 0),
             "seconds": seconds,
             "cached": cache is not None and cache.hits > hits_before,
-            "signature": signature,
+            "signature": signature_digest(result),
         }
 
     # -- HTTP front end ------------------------------------------------------

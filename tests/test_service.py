@@ -7,7 +7,6 @@ concurrent submit-diff requests against a *sharded* store must produce
 results bit-identical to direct :meth:`Session.diff` signatures.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -20,7 +19,7 @@ import pytest
 
 from repro.api.session import Session
 from repro.api.store import TraceStore
-from repro.core.diffs import result_signature
+from repro.core.diffs import signature_digest
 from repro.service import (ReproService, ServiceClient, ServiceError,
                            ServiceThread)
 
@@ -87,7 +86,7 @@ class TestEndpoints:
             client.wait(job)
 
     def test_diff_and_cached_rerun(self, service):
-        _svc, client = service
+        svc, client = service
         client.wait(client.submit_capture(
             trace=simple_trace([1, 2, 3], name="a"), key="a"))
         client.wait(client.submit_capture(
@@ -97,6 +96,8 @@ class TestEndpoints:
         assert cold["cached"] is False
         warm = client.wait(client.submit_diff("a", "b"))["result"]
         assert warm["cached"] is True
+        direct = Session(store=svc.store, cache=False).diff("a", "b")
+        assert cold["signature"] == signature_digest(direct)
         assert warm["signature"] == cold["signature"]
         assert warm["num_diffs"] == cold["num_diffs"]
 
@@ -221,9 +222,7 @@ class TestConcurrentDiffAcceptance:
             store.save(right, key=f"pair{n}/right")
             pairs.append((f"pair{n}/left", f"pair{n}/right"))
         expected = {
-            (left, right): json.dumps(
-                result_signature(session.diff(left, right)),
-                sort_keys=True, default=list)
+            (left, right): signature_digest(session.diff(left, right))
             for left, right in pairs
         }
 
