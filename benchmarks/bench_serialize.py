@@ -25,6 +25,14 @@ minidb workloads.  Identity is asserted everywhere — equal entries,
 equal content digests across all three formats, and equal diff result
 signatures whichever format the pair travelled through.
 
+Each real pair also gets a ``diff_speedups.views_lazy`` row: a views
+diff of a fresh v3 load whose entries are first all materialised,
+divided by the same diff on a fresh lazy load.  The views engine reads
+the v3 columns and builds only the entries its difference sequences
+report (``entries_materialised``), so the ratio is the materialisation
+the lazy path skips; a diff that walked entries again would pay it
+either way and the ratio would fall to 1.
+
 One JSON document lands in ``results/serialize.json`` (uploaded as a
 CI artifact; ``check_budgets.py`` guards its ratios).  Acceptance at
 full size: v3 lazy decode ≥ 3x v2 loads, and v3 ≥ 2x smaller on the
@@ -54,6 +62,11 @@ BYTES_MIN_RATIO = 2.0
 
 #: Timing repeats (min-of): decode is fast, so single runs are noisy.
 REPEATS = 5
+#: Repeats of the (slower) views-diff timings.
+DIFF_REPEATS = 3
+#: Lazy decodes per timing sample: one takes under a millisecond, too
+#: short for a min-of-``REPEATS`` that is stable from run to run.
+LAZY_BATCH = 50
 
 
 def synthetic_trace(entries: int) -> "Trace":
@@ -105,10 +118,11 @@ def _eager(trace) -> None:
         pass
 
 
-def _decode_lazy(blob) -> None:
-    trace = loads_trace(blob)
-    len(trace)
-    trace.thread_ids()
+def _decode_lazy(blob, times: int) -> None:
+    for _ in range(times):
+        trace = loads_trace(blob)
+        len(trace)
+        trace.thread_ids()
 
 
 def _decode_eager(blob) -> None:
@@ -137,7 +151,7 @@ def _measure(trace) -> dict:
         "dumps_seconds": round(_timed(
             lambda: dumps_trace_bytes(trace, version=3)), 5),
         "loads_lazy_seconds": round(_timed(
-            lambda: _decode_lazy(blobs[3])), 5),
+            lambda: _decode_lazy(blobs[3], LAZY_BATCH)) / LAZY_BATCH, 7),
         "loads_eager_seconds": round(_timed(
             lambda: _decode_eager(blobs[3])), 5),
     }
@@ -168,6 +182,35 @@ def _measure(trace) -> dict:
     }
 
 
+def _views_diff(blobs, materialise: bool):
+    """A views diff of a fresh v3 load of the pair, after walking
+    every entry first when ``materialise`` is set."""
+    left, right = (loads_trace(blob) for blob in blobs)
+    if materialise:
+        _eager(left)
+        _eager(right)
+    return view_diff(left, right, counter=OpCounter()), (left, right)
+
+
+def _measure_views_diff(left, right) -> dict:
+    """The ``views_lazy`` ratio and how many entries the lazy diff
+    built, for one pair."""
+    blobs = [dumps_trace_bytes(trace, version=3) for trace in (left, right)]
+    result, lazy_pair = _views_diff(blobs, materialise=False)
+    eager_result, _pair = _views_diff(blobs, materialise=True)
+    assert _diff_signature(result) == _diff_signature(eager_result)
+    built = sum(1 for trace in lazy_pair
+                for entry in trace.entries._cache if entry is not None)
+    eager = _timed(lambda: _views_diff(blobs, True), DIFF_REPEATS)
+    lazy = _timed(lambda: _views_diff(blobs, False), DIFF_REPEATS)
+    return {
+        "pair_entries": len(left) + len(right),
+        "entries_materialised": built,
+        "views_seconds": {"eager": round(eager, 5), "lazy": round(lazy, 5)},
+        "diff_speedups": {"views_lazy": round(eager / max(lazy, 1e-9), 3)},
+    }
+
+
 def _assert_pair_identity(left, right) -> None:
     """A diff over a v3-shipped pair must equal the v2-shipped diff."""
     via_v2 = tuple(loads_trace(dumps_trace_bytes(t, version=2))
@@ -185,10 +228,12 @@ def test_binary_v3_beats_text_decode():
 
     js_left, js_right = minijs_pair()
     workloads["minijs"] = _measure(js_left)
+    workloads["minijs"].update(_measure_views_diff(js_left, js_right))
     _assert_pair_identity(js_left, js_right)
 
     db_left, db_right = minidb_pair()
     workloads["minidb"] = _measure(db_left)
+    workloads["minidb"].update(_measure_views_diff(db_left, db_right))
     _assert_pair_identity(db_left, db_right)
 
     synthetic = workloads["synthetic"]

@@ -80,12 +80,18 @@ def _service(document: dict) -> dict[str, float]:
 
 
 def _serialize(document: dict) -> dict[str, float]:
-    """Wire-format ratios: v3 decode speedups over v2 (lazy/eager) and
-    the bytes-on-wire shrink — all within-run, so they gate."""
+    """Wire-format ratios: v3 decode speedups over v2 (lazy/eager), the
+    bytes-on-wire shrink, and per real pair the views diff's speedup
+    from reading v3 columns instead of materialised entries
+    (``views_lazy``) — all within-run, so they gate."""
     out = {f"speedup:{mode}": value
            for mode, value in document.get("speedups", {}).items()}
     if "bytes_ratio" in document:
         out["bytes_ratio"] = document["bytes_ratio"]
+    for name, workload in document.get("workloads", {}).items():
+        speedups = workload.get("diff_speedups", {})
+        if "views_lazy" in speedups:
+            out[f"views_lazy:{name}"] = speedups["views_lazy"]
     return out
 
 

@@ -62,6 +62,8 @@ from array import array
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from repro.core.columns import (INIT_CODE, KIND_CODES, NO_REP, KeyColumn,
+                                ViewColumns, kind_positions, location_pool)
 from repro.core.entries import TraceEntry
 from repro.core.events import (Call, End, Event, FieldGet, FieldSet, Fork,
                                Init, Return, StackFrame)
@@ -243,15 +245,11 @@ def _local_key_column(trace: Trace) -> tuple[list, array]:
 # Format v3: binary columnar framing with lazy decode.
 
 _V3_MAGIC = b"RPV3"
-#: Sentinel u32 for "no value rep" (``active``/``obj``/``value`` None).
-_V3_NONE = 0xFFFFFFFF
 #: Fixed section order; readers seek by the header's section table, so
 #: the order is a writer convention, not a reader assumption — except
 #: ``keys`` first, which lets :func:`read_key_table` stop early.
 _V3_SECTIONS = ("keys", "eids", "tids", "kids", "meth", "actv", "kind",
                 "ops", "args", "strs", "reps", "rich")
-_V3_KIND_CODES = {"get": 0, "set": 1, "call": 2, "return": 3,
-                  "init": 4, "fork": 5, "end": 6}
 
 _IS_LE = sys.byteorder == "little"
 
@@ -319,7 +317,7 @@ def _encode_v3(trace: Trace, metadata: dict) -> bytes:
 
     def rid(rep: ValueRep | None) -> int:
         if rep is None:
-            return _V3_NONE
+            return NO_REP
         out = reps.get(rep)
         if out is None:
             out = reps[rep] = len(reps)
@@ -337,7 +335,7 @@ def _encode_v3(trace: Trace, metadata: dict) -> bytes:
         actv.append(rid(entry.active))
         event = entry.event
         kind = event.kind
-        code = _V3_KIND_CODES.get(kind)
+        code = KIND_CODES.get(kind)
         if code is None:
             raise TypeError(f"unserialisable event: {event!r}")
         kinds.append(code)
@@ -459,14 +457,15 @@ class _V3Decoder:
 
     The int columns are zero-copy views (:func:`_column`); the JSON
     pools (strings, value reps, rich Fork/End payloads) parse lazily on
-    the first entry materialisation, so loads that only touch columns
-    never run the parses at all.  Concurrent first-parses are a benign
-    race — both threads produce equal pools and one wins the slot.
+    first use, so loads that only touch columns never run the parses at
+    all, and each value rep is built on first reference.  Concurrent
+    first-parses are a benign race — both threads produce equal pools
+    and one wins the slot.
     """
 
     __slots__ = ("eids", "tids", "kids", "meth", "actv", "kinds", "ops",
                  "args", "_strs_blob", "_reps_blob", "_rich_blob",
-                 "_strs", "_reps", "_rich")
+                 "_strs", "_rep_rows", "_reps", "_rich")
 
     def __init__(self, sections: dict[str, memoryview]):
         self.eids = _column(sections["eids"], "q")
@@ -481,6 +480,7 @@ class _V3Decoder:
         self._reps_blob = sections["reps"]
         self._rich_blob = sections["rich"]
         self._strs = None
+        self._rep_rows = None
         self._reps = None
         self._rich = None
 
@@ -490,14 +490,13 @@ class _V3Decoder:
             strs = self._strs = json.loads(bytes(self._strs_blob))
         return strs
 
-    def rep_pool(self) -> list:
-        reps = self._reps
-        if reps is None:
-            reps = self._reps = [
-                ValueRep(class_name=c, serialization=_untuple(s),
-                         location=l, creation_seq=q)
-                for c, s, l, q in json.loads(bytes(self._reps_blob))]
-        return reps
+    def rep_rows(self) -> list:
+        """The value-rep pool as parsed JSON rows
+        ``[class, serialisation, location, creation_seq]``."""
+        rows = self._rep_rows
+        if rows is None:
+            rows = self._rep_rows = json.loads(bytes(self._reps_blob))
+        return rows
 
     def rich_pool(self) -> list:
         rich = self._rich
@@ -506,9 +505,38 @@ class _V3Decoder:
         return rich
 
     def _rep(self, rep_id: int) -> ValueRep | None:
-        if rep_id == _V3_NONE:
+        if rep_id == NO_REP:
             return None
-        return self.rep_pool()[rep_id]
+        reps = self._reps
+        if reps is None:
+            reps = self._reps = [None] * len(self.rep_rows())
+        rep = reps[rep_id]
+        if rep is None:
+            c, s, l, q = self._rep_rows[rep_id]
+            rep = reps[rep_id] = ValueRep(class_name=c,
+                                          serialization=_untuple(s),
+                                          location=l, creation_seq=q)
+        return rep
+
+    def view_columns(self) -> ViewColumns:
+        """The frame's :class:`~repro.core.columns.ViewColumns`: the
+        zero-copy eid/thread/method/active/kind sections, a target
+        column gathered from the operand slots (the first slot, the
+        second for an init, none for a fork or end), and the string
+        and value-rep pools — one location lookup per distinct rep."""
+        ops = memoryview(self.ops)
+        targets = array("I", ops[0::4].tobytes())
+        for position in kind_positions(self.kinds, INIT_CODE):
+            targets[position] = ops[4 * position + 1]
+        for kind in ("fork", "end"):
+            for position in kind_positions(self.kinds, KIND_CODES[kind]):
+                targets[position] = NO_REP
+        locations = location_pool(row[2] for row in self.rep_rows())
+        return ViewColumns(eids=self.eids, tids=self.tids,
+                           methods=KeyColumn(self.meth, self.strings()),
+                           targets=KeyColumn(targets, locations),
+                           actives=KeyColumn(self.actv, locations),
+                           kinds=self.kinds, rep_of=self._rep)
 
     def entry(self, position: int) -> TraceEntry:
         strs = self.strings()
@@ -580,6 +608,7 @@ def _load_v3(view: memoryview, path: Path, keepalive=None) -> Trace:
             f"{key_count}-entry key table")
     entries = LazyEntrySequence(decoder.entry, count,
                                 tids=decoder.tids, eids=decoder.eids,
+                                columns=decoder.view_columns,
                                 owner=keepalive)
     # The key table itself is also lazy (a thunk Trace materialises on
     # first access): a load that never consults =e keys — a capture

@@ -26,6 +26,7 @@ name, so swapping the analysis behind a stable driver API is one
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import threading
 from typing import Protocol, runtime_checkable
@@ -78,6 +79,23 @@ class DiffEngine(Protocol):
         ...
 
 
+def _diff_keywords(diff) -> tuple[frozenset, bool]:
+    """``(parameter names, takes **kwargs)`` of a ``diff`` callable."""
+    try:
+        parameters = inspect.signature(diff).parameters
+    except (TypeError, ValueError):  # pragma: no cover - exotic callables
+        return frozenset(), False
+    return frozenset(parameters), any(
+        p.kind is inspect.Parameter.VAR_KEYWORD
+        for p in parameters.values())
+
+
+#: :func:`_diff_keywords` memoised per ``diff`` function: every diff
+#: asks several of these questions, and a signature costs tens of
+#: microseconds to inspect.
+_memo_diff_keywords = functools.lru_cache(maxsize=256)(_diff_keywords)
+
+
 def accepts_kwarg(engine: DiffEngine, name: str) -> bool:
     """Whether ``engine.diff`` can be handed the keyword ``name``.
 
@@ -85,15 +103,16 @@ def accepts_kwarg(engine: DiffEngine, name: str) -> bool:
     with the interned data layer, ``executor`` with the execution
     layer); engines written before a parameter existed remain valid —
     drivers feed a kwarg only to engines whose signature accepts it.
+    The signature is inspected once per ``diff`` function.
     """
+    diff = engine.diff
+    # A bound method is keyed by its function, shared by all instances.
+    diff = getattr(diff, "__func__", diff)
     try:
-        parameters = inspect.signature(engine.diff).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-    if name in parameters:
-        return True
-    return any(p.kind is inspect.Parameter.VAR_KEYWORD
-               for p in parameters.values())
+        names, var_keyword = _memo_diff_keywords(diff)
+    except TypeError:  # an unhashable callable: inspect it every time
+        names, var_keyword = _diff_keywords(diff)
+    return var_keyword or name in names
 
 
 def accepts_key_table(engine: DiffEngine) -> bool:

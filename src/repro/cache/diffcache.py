@@ -95,8 +95,10 @@ def canonical_config(config: ViewDiffConfig | None) -> str:
     """
     if config is None:
         config = ViewDiffConfig()
-    plain = dataclasses.asdict(config)
-    plain.pop("kernel", None)
+    # Field values are flat (scalars and tuples of them), so reading
+    # them directly gives the same text a deep copy would.
+    plain = {f.name: getattr(config, f.name)
+             for f in dataclasses.fields(config) if f.name != "kernel"}
     plain["view_types"] = [vt.name for vt in config.view_types]
     return json.dumps(plain, sort_keys=True, separators=(",", ":"))
 

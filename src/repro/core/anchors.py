@@ -438,16 +438,15 @@ def merge_segment_results(left: Trace, right: Trace,
                    for index, gap in enumerate(segmentation.gaps))
     ordered.sort(key=lambda item: item[0])
 
-    entries_l = left.entries
-    entries_r = right.entries
+    eids_l = left.eid_column()
+    eids_r = right.eid_column()
     for _position, item in ordered:
         if isinstance(item, AnchorRun):
-            for offset in range(item.length):
-                left_eid = entries_l[item.left + offset].eid
-                right_eid = entries_r[item.right + offset].eid
-                similar_left.add(left_eid)
-                similar_right.add(right_eid)
-                match_pairs.append((left_eid, right_eid))
+            run_l = eids_l[item.left:item.left + item.length]
+            run_r = eids_r[item.right:item.right + item.length]
+            similar_left.update(run_l)
+            similar_right.update(run_r)
+            match_pairs.extend(zip(run_l, run_r))
             continue
         result = gap_results[item]
         if result is None:

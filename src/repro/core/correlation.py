@@ -14,11 +14,14 @@ type:
   value representations are equal, or their (class name, class-specific
   creation sequence number) pairs are equal.
 
-The correlators work on *entries* rather than view names because the
-decision may be context-sensitive (value representations live on the
-entries).  ``correlate(entry_l, entry_r, vtype)`` returns the pair of view
-names, or ``None`` when the views do not correspond — mirroring the
-``<bottom, bottom>`` case of Fig. 9.
+Objects are matched up front from each web's object metadata (the value
+representations behind the target-object views), so one decision
+remains per pair of view keys: ``correlate_view_keys(vtype, key_l,
+key_r)`` — what the differ calls with keys read from the view columns.
+``correlate(entry_l, entry_r, vtype)`` applies it to the views two
+entries belong to and returns the pair of view names, or ``None`` when
+the views do not correspond — mirroring the ``<bottom, bottom>`` case of
+Fig. 9.
 
 The relaxed, distance-based correlation RPRISM adds on top (Sec. 5) is
 implemented in :mod:`repro.core.view_diff`, which knows the anchor points
@@ -31,8 +34,7 @@ from typing import Callable
 
 from repro.core.entries import TraceEntry
 from repro.core.keytable import KeyTable
-from repro.core.values import ValueRep
-from repro.core.views import ViewName, ViewType
+from repro.core.views import KEY_MAPPINGS, ViewName, ViewType
 from repro.core.web import ObjectInfo, ThreadInfo, ViewWeb
 
 
@@ -188,26 +190,38 @@ class ViewCorrelator:
 
     # -- the generic X_chi entry point ---------------------------------------
 
+    def correlate_view_keys(self, vtype: ViewType, key_l,
+                            key_r) -> tuple | None:
+        """``X_chi`` over raw view keys: ``(key_l, key_r)`` when the
+        left view ``<vtype, key_l>`` corresponds to the right view
+        ``<vtype, key_r>``, else ``None`` (also when either key is the
+        ``bottom`` case, ``None``).  The one decision path every
+        correlation goes through — the differ calls it with keys read
+        from the view columns, :meth:`correlate_keys` with keys read
+        from entries."""
+        if key_l is None or key_r is None:
+            return None
+        if vtype is ViewType.THREAD:
+            partner = self._thread_map.get(key_l)
+        elif vtype is ViewType.METHOD:
+            partner = key_l
+        elif vtype is ViewType.TARGET_OBJECT \
+                or vtype is ViewType.ACTIVE_OBJECT:
+            partner = self._object_map.get(key_l)
+        else:
+            raise ValueError(f"unknown view type: {vtype}")
+        return (key_l, key_r) if partner == key_r else None
+
     def correlate_keys(self, entry_l: TraceEntry, entry_r: TraceEntry,
                        vtype: ViewType) -> tuple | None:
         """``X_chi(tau_l, tau_r)`` over raw view keys: the correlated
         ``(kappa_l, kappa_r)`` pair of type ``vtype`` containing the two
-        entries, or ``None`` — the hot-path variant of :meth:`correlate`
-        (no ViewName objects are built)."""
-        if vtype is ViewType.THREAD:
-            if self._thread_map.get(entry_l.tid) == entry_r.tid:
-                return (entry_l.tid, entry_r.tid)
-            return None
-        if vtype is ViewType.METHOD:
-            if entry_l.method == entry_r.method:
-                return (entry_l.method, entry_r.method)
-            return None
-        if vtype is ViewType.TARGET_OBJECT:
-            return self._object_key_pair(entry_l.event.target(),
-                                         entry_r.event.target())
-        if vtype is ViewType.ACTIVE_OBJECT:
-            return self._object_key_pair(entry_l.active, entry_r.active)
-        raise ValueError(f"unknown view type: {vtype}")
+        entries, or ``None`` (no ViewName objects are built)."""
+        key_of = KEY_MAPPINGS.get(vtype)
+        if key_of is None:
+            raise ValueError(f"unknown view type: {vtype}")
+        return self.correlate_view_keys(vtype, key_of(entry_l),
+                                        key_of(entry_r))
 
     def correlate(self, entry_l: TraceEntry, entry_r: TraceEntry,
                   vtype: ViewType) -> tuple[ViewName, ViewName] | None:
@@ -217,15 +231,6 @@ class ViewCorrelator:
         if keys is None:
             return None
         return (ViewName(vtype, keys[0]), ViewName(vtype, keys[1]))
-
-    def _object_key_pair(self, left_obj: ValueRep | None,
-                         right_obj: ValueRep | None) -> tuple | None:
-        if (left_obj is None or right_obj is None
-                or left_obj.location is None or right_obj.location is None):
-            return None
-        if self._object_map.get(left_obj.location) == right_obj.location:
-            return (left_obj.location, right_obj.location)
-        return None
 
     # -- bulk correlated view pairs ------------------------------------------
 

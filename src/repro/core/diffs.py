@@ -16,11 +16,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from itertools import count
+from operator import itemgetter
 
+from repro.core.columns import eids_at
 from repro.core.entries import EOF, TraceEntry
 from repro.core.lcs import OpCounter
-from repro.core.traces import LazyEntrySequence, Trace
+from repro.core.traces import Trace
 
 
 @dataclass(slots=True)
@@ -102,12 +104,12 @@ class DiffResult:
     # -- difference accessors ------------------------------------------------
 
     def left_diff_eids(self) -> list[int]:
-        return [e.eid for e in self.left.entries
-                if e.eid not in self.similar_left]
+        return [eid for eid in self.left.eid_column()
+                if eid not in self.similar_left]
 
     def right_diff_eids(self) -> list[int]:
-        return [e.eid for e in self.right.entries
-                if e.eid not in self.similar_right]
+        return [eid for eid in self.right.eid_column()
+                if eid not in self.similar_right]
 
     def num_diffs(self) -> int:
         """Total number of raw differences (both sides) — the paper's
@@ -192,12 +194,11 @@ def result_from_wire(wire: dict, left: Trace, right: Trace) -> DiffResult:
     """Inverse of :func:`result_to_wire`, rehydrated over the caller's
     ``left``/``right`` traces.
 
-    Entry ids resolve through each trace's eid column when it has one
-    (v3-loaded traces and their slices,
-    :meth:`~repro.core.traces.LazyEntrySequence.eid_lookup`): only the
-    entries the difference sequences name are built, so the cost of a
-    rehydrate follows the wire, not the length of the traces.
-    List-backed traces resolve through an ``{eid: entry}`` map.
+    Entry ids resolve through each trace's eid column
+    (:meth:`~repro.core.traces.Trace.eid_column`, zero-copy on v3-loaded
+    traces and their slices): only the entries the difference sequences
+    name are built, so the cost of a rehydrate follows the wire, not the
+    length of the traces.
 
     Every eid field — the similarity sets, matched and anchor pairs,
     and the sequences — is checked against the pair (``EOF.eid``
@@ -260,14 +261,14 @@ def result_from_wire(wire: dict, left: Trace, right: Trace) -> DiffResult:
 
 def _eid_lookup(trace: Trace):
     """``(held, entry)`` for one side of a wire: the eids ``trace``
-    holds and a builder of the entry holding one of them."""
+    holds — its eid column when that is a ``range``, else a dict keyed
+    by eid — and a builder of the entry holding one of them."""
+    column = trace.eid_column()
     entries = trace.entries
-    if isinstance(entries, LazyEntrySequence):
-        lookup = entries.eid_lookup()
-        if lookup is not None:
-            return lookup
-    mapping = dict(zip(map(attrgetter("eid"), entries), entries))
-    return mapping, mapping.__getitem__
+    if type(column) is range:
+        return column, lambda eid: entries[column.index(eid)]
+    index = dict(zip(column, count()))
+    return index, lambda eid: entries[index[eid]]
 
 
 def _check_eids(held, eids) -> None:
@@ -345,44 +346,44 @@ def signature_digest(result: DiffResult) -> str:
 def build_sequences(left: Trace, right: Trace,
                     match_pairs: list[tuple[int, int]],
                     similar_left: set[int], similar_right: set[int],
-                    left_eids: list[int] | None = None,
-                    right_eids: list[int] | None = None,
+                    left_rows=None, right_rows=None,
                     ) -> list[DifferenceSequence]:
     """Group raw differences into difference sequences.
 
     Walks the (monotonic) correspondence mapping; the differing entries
-    between consecutive matched pairs form one sequence.  ``left_eids`` /
-    ``right_eids`` restrict the walk to a sub-sequence of each trace (a
-    thread view), defaulting to the whole trace.
+    between consecutive matched pairs form one sequence.  ``match_pairs``
+    and the similarity sets hold entry ids.  ``left_rows`` /
+    ``right_rows`` restrict the walk to a sub-sequence of each trace's
+    *positions* (a thread view's index column), defaulting to the whole
+    trace.  The walk reads each trace's eid column, so the only entries
+    built are the differences the sequences carry.
     """
-    if left_eids is None:
-        rows_l = left.entries
-    else:
-        by_eid = {e.eid: e for e in left.entries}
-        rows_l = [by_eid[eid] for eid in left_eids]
-    if right_eids is None:
-        rows_r = right.entries
-    else:
-        by_eid = {e.eid: e for e in right.entries}
-        rows_r = [by_eid[eid] for eid in right_eids]
-
-    sequences: list[DifferenceSequence] = []
-    # Positions of matched pairs within the (restricted) entry rows.
-    pos_l = {entry.eid: i for i, entry in enumerate(rows_l)}
-    pos_r = {entry.eid: i for i, entry in enumerate(rows_r)}
+    eids_l = left.eid_column()
+    eids_r = right.eid_column()
+    rows_l = range(len(eids_l)) if left_rows is None else left_rows
+    rows_r = range(len(eids_r)) if right_rows is None else right_rows
+    # eid -> index within the (restricted) rows.
+    at_l = dict(zip(eids_at(eids_l, rows_l), count()))
+    at_r = dict(zip(eids_at(eids_r, rows_r), count()))
     boundaries = [(-1, -1)]
     for l_eid, r_eid in match_pairs:
-        if l_eid in pos_l and r_eid in pos_r:
-            boundaries.append((pos_l[l_eid], pos_r[r_eid]))
+        row_l = at_l.get(l_eid)
+        if row_l is not None:
+            row_r = at_r.get(r_eid)
+            if row_r is not None:
+                boundaries.append((row_l, row_r))
     boundaries.append((len(rows_l), len(rows_r)))
 
+    entries_l = left.entries
+    entries_r = right.entries
+    sequences: list[DifferenceSequence] = []
     for (prev_l, prev_r), (next_l, next_r) in zip(boundaries, boundaries[1:]):
         if next_l - prev_l <= 1 and next_r - prev_r <= 1:
             continue  # adjacent matches: no gap on either side
-        left_gap = [e for e in rows_l[prev_l + 1:next_l]
-                    if e.eid not in similar_left]
-        right_gap = [e for e in rows_r[prev_r + 1:next_r]
-                     if e.eid not in similar_right]
+        left_gap = [entries_l[p] for p in rows_l[prev_l + 1:next_l]
+                    if eids_l[p] not in similar_left]
+        right_gap = [entries_r[p] for p in rows_r[prev_r + 1:next_r]
+                     if eids_r[p] not in similar_right]
         if not left_gap and not right_gap:
             continue
         if left_gap and right_gap:

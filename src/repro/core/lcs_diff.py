@@ -24,6 +24,7 @@ import time
 
 from repro.core.anchors import (AnchorConfig, merge_segment_results,
                                 segment_pair)
+from repro.core.columns import pairs_to_eids
 from repro.core.diffs import DiffResult, build_sequences
 from repro.core.keytable import KeyTable
 from repro.core.lcs import (LcsResult, MemoryBudget, OpCounter,
@@ -113,8 +114,8 @@ def lcs_diff(left: Trace, right: Trace, algorithm: str = "optimized",
         result = lcs_fast(keys_l, keys_r, counter=counter,
                           dp_cell_limit=dp_cell_limit, kernel=kernel)
 
-    match_pairs = [(left.entries[i].eid, right.entries[j].eid)
-                   for i, j in result.pairs]
+    match_pairs = pairs_to_eids(left.eid_column(), right.eid_column(),
+                                result.pairs)
     similar_left = {l for l, _ in match_pairs}
     similar_right = {r for _, r in match_pairs}
     sequences = build_sequences(left, right, match_pairs, similar_left,

@@ -16,6 +16,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from repro.core.columns import ViewColumns, eid_column_of, take
 from repro.core.entries import TraceEntry
 from repro.core.events import (Call, End, Event, FieldGet, FieldSet, Fork,
                                Init, Return, StackFrame)
@@ -36,9 +37,12 @@ class LazyEntrySequence:
     trace is sliced.  ``tids`` optionally carries the backing thread-id
     column (any int sequence) so :meth:`Trace.thread_ids` never has to
     materialise entries at all; ``eids`` likewise carries the backing
-    entry-id column (an int64 buffer), so :meth:`eid_lookup` resolves
-    eids to entries with int work only; ``owner`` pins whatever object
-    keeps the backing buffer alive (e.g. a mapped shared-memory
+    entry-id column (an int64 buffer), so :meth:`eid_column` resolves
+    eids to positions with int work only; ``columns`` is a zero-argument
+    builder of the backing's :class:`~repro.core.columns.ViewColumns`,
+    run at most once and shared by every slice, so the views engine
+    reads its facts without building entries; ``owner`` pins whatever
+    object keeps the backing buffer alive (e.g. a mapped shared-memory
     segment).
 
     The core layer defines only the container contract; decoders live
@@ -46,13 +50,14 @@ class LazyEntrySequence:
     """
 
     __slots__ = ("_decode", "_positions", "_cache", "_tids", "_eids",
-                 "_dense", "owner")
+                 "_dense", "_columns", "owner")
 
     def __init__(self, decode, length: int | None = None, *,
-                 tids=None, eids=None, owner=None,
+                 tids=None, eids=None, columns=None, owner=None,
                  _positions: range | None = None,
                  _cache: "list | None" = None,
-                 _dense: "list | None" = None):
+                 _dense: "list | None" = None,
+                 _columns: "list | None" = None):
         self._decode = decode
         if _positions is None:
             _positions = range(length or 0)
@@ -63,6 +68,10 @@ class LazyEntrySequence:
         # Whether the eid column equals its backing positions — checked
         # at most once per backing, the one slot shared by every slice.
         self._dense = [None] if _dense is None else _dense
+        # [builder, built backing columns], shared by every slice.
+        if _columns is None and columns is not None:
+            _columns = [columns, None]
+        self._columns = _columns
         self.owner = owner
 
     def __len__(self) -> int:
@@ -80,7 +89,8 @@ class LazyEntrySequence:
                                      eids=self._eids, owner=self.owner,
                                      _positions=self._positions[index],
                                      _cache=self._cache,
-                                     _dense=self._dense)
+                                     _dense=self._dense,
+                                     _columns=self._columns)
         return self._entry_at(self._positions[index])
 
     def __iter__(self) -> Iterator[TraceEntry]:
@@ -103,33 +113,42 @@ class LazyEntrySequence:
         single entry — ``None`` when the decoder supplied no column."""
         if self._tids is None:
             return None
-        column = self._tids
-        return (column[position] for position in self._positions)
+        return take(self._tids, self._positions)
 
-    def eid_lookup(self):
-        """``(held, entry)`` resolving entry ids through the eid column
-        without building a single entry, or ``None`` when the decoder
-        supplied no column.
-
-        ``held`` is the set of eids this sequence holds: a ``range``
-        when the column equals its backing positions (every captured
-        trace numbers entries 0..n-1, and slices keep their eids), a
-        dict keyed by eid otherwise.  ``entry(eid)`` builds (or
-        recalls) the entry holding ``eid``, which must be in ``held``.
-        """
-        column = self._eids
-        if column is None:
-            return None
+    def _is_dense(self) -> bool:
+        """Whether the backing eid column equals its positions."""
         dense = self._dense[0]
         if dense is None:
             # Native-order bytes on both sides, so one C-level compare.
+            column = self._eids
             dense = self._dense[0] = memoryview(column).tobytes() == \
                 array("q", range(len(column))).tobytes()
-        positions = self._positions
-        if dense:
-            return positions, self._entry_at
-        index = {column[position]: position for position in positions}
-        return index, lambda eid: self._entry_at(index[eid])
+        return dense
+
+    def eid_column(self):
+        """The entry ids in sequence order without building a single
+        entry — ``None`` when the decoder supplied no column.  A dense
+        backing (every captured trace numbers entries 0..n-1, and
+        slices keep their eids) gives its positions themselves, a
+        ``range``."""
+        if self._eids is None:
+            return None
+        if self._is_dense():
+            return self._positions
+        return take(self._eids, self._positions)
+
+    def view_columns(self) -> "ViewColumns | None":
+        """This sequence's :class:`~repro.core.columns.ViewColumns`, or
+        ``None`` when the decoder supplied no builder.  The backing
+        columns are built once and shared by every slice; a slice
+        restricts them to its positions without copying."""
+        shared = self._columns
+        if shared is None or self._eids is None:
+            return None
+        backing = shared[1]
+        if backing is None:
+            backing = shared[1] = shared[0]()
+        return backing.sliced(self._positions, self.eid_column())
 
 
 class Trace:
@@ -150,7 +169,8 @@ class Trace:
     """
 
     __slots__ = ("name", "entries", "metadata", "_key_table", "key_ids",
-                 "_thread_ids", "_fingerprint", "_content_digest")
+                 "_thread_ids", "_fingerprint", "_content_digest",
+                 "_view_columns")
 
     def __init__(self, entries: Iterable[TraceEntry] = (), name: str = "",
                  metadata: dict | None = None,
@@ -170,6 +190,7 @@ class Trace:
         self._thread_ids: list[int] | None = None
         self._fingerprint: str | None = None
         self._content_digest: str | None = None
+        self._view_columns: ViewColumns | None = None
 
     @property
     def key_table(self) -> "KeyTable | None":
@@ -228,12 +249,37 @@ class Trace:
                 if isinstance(self.entries, LazyEntrySequence) else None
             if tids is None:
                 tids = (entry.tid for entry in self.entries)
-            seen: dict[int, None] = {}
-            for tid in tids:
-                if tid not in seen:
-                    seen[tid] = None
-            self._thread_ids = list(seen)
+            self._thread_ids = list(dict.fromkeys(tids))
         return list(self._thread_ids)
+
+    def view_columns(self) -> ViewColumns:
+        """The per-position facts the views engine reads
+        (:class:`~repro.core.columns.ViewColumns`), computed once: from
+        the decoder's columns when the entries are lazy, else in one
+        pass over the entries."""
+        columns = self._view_columns
+        if columns is None:
+            entries = self.entries
+            if isinstance(entries, LazyEntrySequence):
+                columns = entries.view_columns()
+            if columns is None:
+                columns = ViewColumns.from_entries(entries)
+            self._view_columns = columns
+        return columns
+
+    def eid_column(self):
+        """The entry ids in position order (a ``range`` when they equal
+        the positions).  Lazy entries give it without building one
+        entry; the views engine and :func:`~repro.core.diffs.
+        build_sequences` translate positions to eids through it."""
+        if self._view_columns is not None:
+            return self._view_columns.eids
+        entries = self.entries
+        if isinstance(entries, LazyEntrySequence):
+            column = entries.eid_column()
+            if column is not None:
+                return column
+        return eid_column_of(entries)
 
     def fingerprint(self) -> str:
         """A cheap *provenance* fingerprint (name, length, per-entry

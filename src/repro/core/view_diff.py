@@ -35,12 +35,13 @@ from dataclasses import dataclass, field
 
 from repro.core.anchors import AnchorConfig, select_anchor_runs
 from repro.core.correlation import ViewCorrelator
+from repro.core.columns import eids_at, pairs_to_eids
 from repro.core.diffs import DiffResult, DifferenceSequence, build_sequences
 from repro.core.kernels import get_backend
 from repro.core.keytable import KeyTable
 from repro.core.lcs import OpCounter, lcs_dp
 from repro.core.traces import Trace
-from repro.core.views import KEY_MAPPINGS, View, ViewType
+from repro.core.views import COLUMN_KEYS, View, ViewType
 from repro.core.web import ViewWeb
 
 
@@ -106,7 +107,12 @@ class ViewDiffConfig:
 
 
 class _ThreadPairDiffer:
-    """Lock-step evaluation of one correlated thread-view pair."""
+    """Lock-step evaluation of one correlated thread-view pair.
+
+    Everything here is in trace *positions* — the similarity marks, the
+    matched and anchor pairs — read from the two webs' view columns;
+    :meth:`ViewDiffPlan.merge` translates positions to entry ids once.
+    """
 
     def __init__(self, left_view: View, right_view: View, web_l: ViewWeb,
                  web_r: ViewWeb, correlator: ViewCorrelator,
@@ -135,15 +141,19 @@ class _ThreadPairDiffer:
             else {}
         self._window_keys_r = window_keys_r if window_keys_r is not None \
             else {}
+        # The secondary view types' key columns; their views are built
+        # on the first NOMATCH step that explores them, and cached here
+        # by type tag.
+        self._key_columns = [
+            (vtype, vtype.value, COLUMN_KEYS[vtype](web_l.columns),
+             COLUMN_KEYS[vtype](web_r.columns))
+            for vtype in config.view_types]
+        self._views_l: dict[str, dict] = {}
+        self._views_r: dict[str, dict] = {}
+        self._bucket_width = max(config.window, 1)
         # Per-view key caches: position -> =e key (interned id or tuple).
-        if ids_l is not None:
-            self.lkeys = [ids_l[i] for i in left_view.indices]
-            self.rkeys = [ids_r[i] for i in right_view.indices]
-        else:
-            entries_l = web_l.trace.entries
-            entries_r = web_r.trace.entries
-            self.lkeys = [entries_l[i].key() for i in left_view.indices]
-            self.rkeys = [entries_r[i].key() for i in right_view.indices]
+        self.lkeys = self._thread_keys(left_view, ids_l)
+        self.rkeys = self._thread_keys(right_view, ids_r)
         # key -> sorted positions, for the next-correspondence search.
         self.rpos: dict = {}
         for pos, key in enumerate(self.rkeys):
@@ -154,11 +164,6 @@ class _ThreadPairDiffer:
         # Anchored positions (in the two thread views) found by secondary
         # view exploration and still ahead of the scan.
         self._pending_anchors: list[tuple[int, int]] = []
-        # eid -> position caches for the main views.
-        self._lpos_by_eid = {left_view.indices[p]: p
-                             for p in range(len(left_view.indices))}
-        self._rpos_by_eid = {right_view.indices[p]: p
-                             for p in range(len(right_view.indices))}
         # Kernel backend for the lock-step scans and window LCS fills.
         self._backend = get_backend(config.kernel)
         # Anchored evaluation: (run start left, run start right) ->
@@ -173,14 +178,14 @@ class _ThreadPairDiffer:
             exclude_l = exclude_r = None
             if config.anchor_method_hints:
                 hinted = set(config.anchor_method_hints)
-                entries_l = web_l.trace.entries
-                entries_r = web_r.trace.entries
-                exclude_l = {pos for pos, eid
+                methods_l = web_l.columns.methods
+                methods_r = web_r.columns.methods
+                exclude_l = {pos for pos, index
                              in enumerate(left_view.indices)
-                             if entries_l[eid].method in hinted}
-                exclude_r = {pos for pos, eid
+                             if methods_l[index] in hinted}
+                exclude_r = {pos for pos, index
                              in enumerate(right_view.indices)
-                             if entries_r[eid].method in hinted}
+                             if methods_r[index] in hinted}
             runs = select_anchor_runs(
                 self.lkeys, self.rkeys,
                 AnchorConfig.from_view_config(config), counter=counter,
@@ -194,11 +199,20 @@ class _ThreadPairDiffer:
             for starts in self._diag_starts.values():
                 starts.sort()
 
+    @staticmethod
+    def _thread_keys(view: View, ids) -> list:
+        """The ``=e`` keys of a thread view's members: interned ids, or
+        key tuples (built from the entries) on the tuple path."""
+        if ids is not None:
+            return list(map(ids.__getitem__, view.indices))
+        entries = view.trace.entries
+        return [entries[index].key() for index in view.indices]
+
     # -- driver --------------------------------------------------------------
 
     def run(self) -> list[tuple[int, int]]:
         """Evaluate the pair, returning the monotonic match pairs
-        (left eid, right eid)."""
+        (left position, right position)."""
         lv, rv = self.lv, self.rv
         lkeys, rkeys = self.lkeys, self.rkeys
         indices_l, indices_r = lv.indices, rv.indices
@@ -218,11 +232,11 @@ class _ThreadPairDiffer:
                 # credit (zero: the run was verified at selection).
                 run_length = anchor_starts.get((i, j))
                 if run_length:
-                    left_eids = indices_l[i:i + run_length]
-                    right_eids = indices_r[j:j + run_length]
-                    similar_left.update(left_eids)
-                    similar_right.update(right_eids)
-                    match_pairs.extend(zip(left_eids, right_eids))
+                    left_run = indices_l[i:i + run_length]
+                    right_run = indices_r[j:j + run_length]
+                    similar_left.update(left_run)
+                    similar_right.update(right_run)
+                    match_pairs.extend(zip(left_run, right_run))
                     i += run_length
                     j += run_length
                     continue
@@ -247,11 +261,11 @@ class _ThreadPairDiffer:
                 run = 1 + common_run(lkeys, rkeys, i + 1, j + 1,
                                      limit - 1)
                 self.counter.bump(run - 1)
-                left_eids = indices_l[i:i + run]
-                right_eids = indices_r[j:j + run]
-                similar_left.update(left_eids)
-                similar_right.update(right_eids)
-                match_pairs.extend(zip(left_eids, right_eids))
+                left_run = indices_l[i:i + run]
+                right_run = indices_r[j:j + run]
+                similar_left.update(left_run)
+                similar_right.update(right_run)
+                match_pairs.extend(zip(left_run, right_run))
                 i += run
                 j += run
                 continue
@@ -276,13 +290,13 @@ class _ThreadPairDiffer:
             return
         lcs = lcs_dp(self.lkeys[i:ni], self.rkeys[j:nj],
                      counter=self.counter, kernel=self._backend)
-        lv, rv = self.lv, self.rv
+        indices_l, indices_r = self.lv.indices, self.rv.indices
         for wi, wj in lcs.pairs:
-            left_eid = lv.indices[i + wi]
-            right_eid = rv.indices[j + wj]
-            self.similar_left.add(left_eid)
-            self.similar_right.add(right_eid)
-            match_pairs.append((left_eid, right_eid))
+            left = indices_l[i + wi]
+            right = indices_r[j + wj]
+            self.similar_left.add(left)
+            self.similar_right.add(right)
+            match_pairs.append((left, right))
 
     # -- LinkedSimilarEntries (SIMILAR-FROM-LINKED-VIEWS) ----------------------
 
@@ -290,88 +304,96 @@ class _ThreadPairDiffer:
         """Explore secondary views linked near positions (i, j) and mark
         windowed-LCS entries as similar."""
         config = self.config
-        lv, rv = self.lv, self.rv
-        entries_l = self.web_l.trace.entries
-        entries_r = self.web_r.trace.entries
-        explored_now = 0
+        indices_l, indices_r = self.lv.indices, self.rv.indices
+        correlate = self.correlator.correlate_view_keys
+        explore = self._explore_view_pair
         radius = config.radius
         lo_l = max(0, i - radius)
-        hi_l = min(len(lv.indices), i + radius + 1)
+        hi_l = min(len(indices_l), i + radius + 1)
         lo_r = max(0, j - radius)
-        hi_r = min(len(rv.indices), j + radius + 1)
+        hi_r = min(len(indices_r), j + radius + 1)
+        secondary = self._key_columns
+        # The secondary-view keys of every nearby entry, read once.
+        near_r = [(pr, indices_r[pr],
+                   [keys_r[indices_r[pr]]
+                    for _vtype, _tag, _keys_l, keys_r in secondary])
+                  for pr in range(lo_r, hi_r)]
+        explored_now = 0
         for pl in range(lo_l, hi_l):
-            tau5 = entries_l[lv.indices[pl]]
-            for pr in range(lo_r, hi_r):
+            tau5 = indices_l[pl]
+            keys5 = [keys_l[tau5]
+                     for _vtype, _tag, keys_l, _keys_r in secondary]
+            for pr, tau6, keys6 in near_r:
                 if explored_now >= config.max_secondary_pairs:
                     return
-                tau6 = entries_r[rv.indices[pr]]
-                for vtype in config.view_types:
-                    keys = self.correlator.correlate_keys(tau5, tau6, vtype)
-                    if keys is None and config.relaxed and (pl - i) == (pr - j):
+                relaxed = config.relaxed and (pl - i) == (pr - j)
+                for (vtype, tag, _l, _r), key_l, key_r in zip(
+                        secondary, keys5, keys6):
+                    keys = correlate(vtype, key_l, key_r)
+                    if keys is None and relaxed and key_l is not None \
+                            and key_r is not None:
                         # Relaxed correlation: same distance from the
                         # current (correlated) positions.
-                        keys = self._relaxed_keys(tau5, tau6, vtype)
+                        keys = (key_l, key_r)
                     if keys is None:
                         continue
-                    if self._explore_view_pair(vtype, keys[0], keys[1],
-                                               tau5.eid, tau6.eid):
+                    if explore(vtype, tag, key_l, key_r, tau5, tau6):
                         explored_now += 1
 
-    def _relaxed_keys(self, tau5, tau6, vtype: ViewType):
-        key_l = KEY_MAPPINGS[vtype](tau5)
-        key_r = KEY_MAPPINGS[vtype](tau6)
-        if key_l is None or key_r is None:
-            return None
-        return (key_l, key_r)
-
-    def _explore_view_pair(self, vtype: ViewType, key_l, key_r,
-                           center_eid_l: int, center_eid_r: int) -> bool:
-        """Windowed LCS over one correlated secondary-view pair.
+    def _explore_view_pair(self, vtype: ViewType, tag: str, key_l, key_r,
+                           center_l: int, center_r: int) -> bool:
+        """Windowed LCS over one correlated secondary-view pair, centred
+        on the entries at trace positions ``center_l`` / ``center_r``
+        (``tag`` is ``vtype.value``, which hashes faster).
 
         Returns True if a (new) exploration was performed.
         """
-        view_l = self.web_l.typed_view(vtype, key_l)
-        view_r = self.web_r.typed_view(vtype, key_r)
+        views_l = self._views_l.get(tag)
+        if views_l is None:
+            views_l = self._views_l[tag] = self.web_l.typed_views(vtype)
+            self._views_r[tag] = self.web_r.typed_views(vtype)
+        view_l = views_l.get(key_l)
+        view_r = self._views_r[tag].get(key_r)
         if view_l is None or view_r is None:
             return False
-        pos_l = view_l.position_of(center_eid_l)
-        pos_r = view_r.position_of(center_eid_r)
-        if pos_l < 0 or pos_r < 0:
-            return False
-        omega = self.config.window
-        bucket = (vtype.value, key_l, key_r, pos_l // max(omega, 1),
-                  pos_r // max(omega, 1))
+        # The keys are the centres' own keys of this type, so each
+        # centre is a member of its view.
+        pos_l = view_l.offsets[center_l]
+        pos_r = view_r.offsets[center_r]
+        width = self._bucket_width
+        bucket = (tag, key_l, key_r, pos_l // width, pos_r // width)
         if bucket in self._explored:
             return False
         self._explored.add(bucket)
+        omega = self.config.window
         index_l, keys_l = self._window_keys(view_l, pos_l, omega,
-                                            self.ids_l, self.web_l,
+                                            self.ids_l,
                                             self._window_keys_l)
         index_r, keys_r = self._window_keys(view_r, pos_r, omega,
-                                            self.ids_r, self.web_r,
+                                            self.ids_r,
                                             self._window_keys_r)
         if not keys_l or not keys_r:
             return True
         lcs = lcs_dp(keys_l, keys_r, counter=self.counter,
                      kernel=self._backend)
-        entries_l = self.web_l.trace.entries
-        entries_r = self.web_r.trace.entries
+        lv, rv = self.lv, self.rv
         for wi, wj in lcs.pairs:
-            entry_l = entries_l[index_l[wi]]
-            entry_r = entries_r[index_r[wj]]
-            self.similar_left.add(entry_l.eid)
-            self.similar_right.add(entry_r.eid)
-            self.anchor_pairs.append((entry_l.eid, entry_r.eid))
+            left = index_l[wi]
+            right = index_r[wj]
+            self.similar_left.add(left)
+            self.similar_right.add(right)
+            self.anchor_pairs.append((left, right))
             # If both anchored entries live in the main thread views ahead
             # of the scan, they become correspondence candidates.
-            apl = self._lpos_by_eid.get(entry_l.eid)
-            apr = self._rpos_by_eid.get(entry_r.eid)
-            if apl is not None and apr is not None:
+            apl = lv.offset_of(left)
+            apr = rv.offset_of(right)
+            if apl >= 0 and apr >= 0:
                 self._pending_anchors.append((apl, apr))
         return True
 
-    def _window_keys(self, view: View, position: int, omega: int,
-                     ids, web: ViewWeb, cache: dict):
+    @staticmethod
+    def _window_keys(view: View, position: int, omega: int, ids,
+                     cache: dict):
         """The (index slice, key list) of one secondary-view window,
         memoised per (view, lo, hi) across every thread-pair differ of
         the trace pair."""
@@ -384,9 +406,9 @@ class _ThreadPairDiffer:
         if got is None:
             index = view.indices[lo:hi]
             if ids is not None:
-                keys = [ids[i] for i in index]
+                keys = list(map(ids.__getitem__, index))
             else:
-                entries = web.trace.entries
+                entries = view.trace.entries
                 keys = [entries[i].key() for i in index]
             got = (index, keys)
             cache[token] = got
@@ -444,8 +466,10 @@ class PairMarks:
     ever writes into the similarity sets, never reads them — which is
     what lets the execution phase run pairs in any order (or in other
     threads/processes) and still merge to a result bit-identical to the
-    serial evaluation.  ``compares`` carries the pair's entry-compare
-    count so counters aggregate order-independently.
+    serial evaluation.  Marks hold trace *positions*, which every copy
+    of a trace shares; :meth:`ViewDiffPlan.merge` translates them to
+    entry ids.  ``compares`` carries the pair's entry-compare count so
+    counters aggregate order-independently.
     """
 
     ltid: int
@@ -541,31 +565,38 @@ class ViewDiffPlan:
 
         ``marks`` must be ordered like ``plan.pairs`` (executors
         preserve submission order); the union/concatenation below then
-        reproduces the serial evaluation exactly.
+        reproduces the serial evaluation exactly.  Positions become
+        entry ids here, once, through each trace's eid column, and the
+        only entries built are the differences the sequences report.
         """
         if counter is None:
             counter = OpCounter()
-        similar_left: set[int] = set()
-        similar_right: set[int] = set()
-        anchor_pairs: list[tuple[int, int]] = []
-        all_match_pairs: list[tuple[int, int]] = []
+        eids_l = self.left.eid_column()
+        eids_r = self.right.eid_column()
+        marked_left: set[int] = set()
+        marked_right: set[int] = set()
+        anchors: list[tuple[int, int]] = []
         for mark in marks:
-            similar_left |= mark.similar_left
-            similar_right |= mark.similar_right
-            anchor_pairs.extend(mark.anchor_pairs)
-            all_match_pairs.extend(mark.match_pairs)
+            marked_left |= mark.similar_left
+            marked_right |= mark.similar_right
+            anchors.extend(mark.anchor_pairs)
             counter.bump(mark.compares)
+        similar_left = set(eids_at(eids_l, marked_left))
+        similar_right = set(eids_at(eids_r, marked_right))
+        anchor_pairs = pairs_to_eids(eids_l, eids_r, anchors)
         # Sequences are segmented only after every thread pair has
         # contributed to sigma, so cross-thread anchors are honoured
         # everywhere.
+        all_match_pairs: list[tuple[int, int]] = []
         sequences: list[DifferenceSequence] = []
         for mark in marks:
-            lv = self.web_l.thread_view(mark.ltid)
-            rv = self.web_r.thread_view(mark.rtid)
+            match_pairs = pairs_to_eids(eids_l, eids_r, mark.match_pairs)
+            all_match_pairs.extend(match_pairs)
             sequences.extend(build_sequences(
-                self.left, self.right, mark.match_pairs,
+                self.left, self.right, match_pairs,
                 similar_left, similar_right,
-                left_eids=list(lv.indices), right_eids=list(rv.indices)))
+                left_rows=self.web_l.thread_view(mark.ltid).indices,
+                right_rows=self.web_r.thread_view(mark.rtid).indices))
 
         # Uncorrelated threads: every entry is a difference.
         matched_left_tids = {mark.ltid for mark in marks}
@@ -576,7 +607,8 @@ class ViewDiffPlan:
             lv = self.web_l.thread_view(tid)
             if lv is None:
                 continue
-            entries = [e for e in lv if e.eid not in similar_left]
+            entries = _unmarked(self.left, lv.indices, eids_l,
+                                similar_left)
             if entries:
                 sequences.append(DifferenceSequence(
                     kind="delete", left_entries=entries, right_entries=[]))
@@ -586,7 +618,8 @@ class ViewDiffPlan:
             rv = self.web_r.thread_view(tid)
             if rv is None:
                 continue
-            entries = [e for e in rv if e.eid not in similar_right]
+            entries = _unmarked(self.right, rv.indices, eids_r,
+                                similar_right)
             if entries:
                 sequences.append(DifferenceSequence(
                     kind="insert", left_entries=[], right_entries=entries))
@@ -604,6 +637,14 @@ class ViewDiffPlan:
             algorithm="views",
             seconds=elapsed,
         )
+
+
+def _unmarked(trace: Trace, positions, eids, similar: set[int]) -> list:
+    """The entries at ``positions`` whose eid is outside ``similar``
+    (only those entries are built)."""
+    entries = trace.entries
+    return [entries[position] for position in positions
+            if eids[position] not in similar]
 
 
 def plan_view_diff(left: Trace, right: Trace,

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from operator import attrgetter, indexOf
+from typing import Callable, Iterator, Sequence
 
+from repro.core.columns import ViewColumns
 from repro.core.entries import TraceEntry
 from repro.core.traces import Trace
 
@@ -117,14 +119,23 @@ def _key_active_object(entry: TraceEntry):
 
 
 #: Raw-key variants of the ``nu_chi`` mappings: the type-specific key
-#: alone (``kappa``), without wrapping it in a :class:`ViewName`.  The
-#: hot paths use these — constructing and hashing name objects per
-#: lookup is measurable at trace scale.
+#: alone (``kappa``), without wrapping it in a :class:`ViewName`.
 KEY_MAPPINGS: dict[ViewType, Callable[[TraceEntry], object]] = {
     ViewType.THREAD: _key_thread,
     ViewType.METHOD: _key_method,
     ViewType.TARGET_OBJECT: _key_target_object,
     ViewType.ACTIVE_OBJECT: _key_active_object,
+}
+
+#: Column variants of :data:`KEY_MAPPINGS`: the key column of each view
+#: type in a trace's :class:`~repro.core.columns.ViewColumns` — the
+#: ``kappa`` of every position (``None`` for the ``bottom`` case)
+#: without building an entry.  The web and the differ read these.
+COLUMN_KEYS: dict[ViewType, Callable[[ViewColumns], Sequence]] = {
+    ViewType.THREAD: attrgetter("tids"),
+    ViewType.METHOD: attrgetter("methods"),
+    ViewType.TARGET_OBJECT: attrgetter("targets"),
+    ViewType.ACTIVE_OBJECT: attrgetter("actives"),
 }
 
 
@@ -144,20 +155,23 @@ class View:
 
     Because views retain original indices, ``position_of`` implements the
     link-navigation of Sec. 2.4: given an entry's eid, find where it sits
-    inside this view.
+    inside this view (``offset_of`` does the same for a trace position).
 
-    ``indices`` is an index *column*: any integer sequence works, and
-    the web builds ``array('I')`` columns (4 bytes per member instead of
-    a list of boxed ints).
+    ``indices`` is a sorted index *column* of trace positions: any
+    integer sequence works, and the web builds ``array('I')`` columns
+    (4 bytes per member instead of a list of boxed ints).  ``offsets``
+    maps every trace position to its offset inside the view of this
+    type that holds it — one column the web shares among all views of
+    a type — so ``offset_of`` is O(1).
     """
 
-    __slots__ = ("name", "trace", "indices", "_index_positions")
+    __slots__ = ("name", "trace", "indices", "offsets")
 
-    def __init__(self, name: ViewName, trace: Trace, indices):
+    def __init__(self, name: ViewName, trace: Trace, indices, offsets):
         self.name = name
         self.trace = trace
         self.indices = indices
-        self._index_positions: dict[int, int] | None = None
+        self.offsets = offsets
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -173,13 +187,25 @@ class View:
     def entry_at(self, position: int) -> TraceEntry:
         return self[position]
 
+    def offset_of(self, position: int) -> int:
+        """Position inside this view of the entry at trace position
+        ``position``, or ``-1`` if it is not a member."""
+        if not 0 <= position < len(self.offsets):
+            return -1
+        at = self.offsets[position]
+        indices = self.indices
+        if at < len(indices) and indices[at] == position:
+            return at
+        return -1
+
     def position_of(self, eid: int) -> int:
         """Position of the entry with identifier ``eid`` inside this view
         (the ``index(nu, tau)`` helper of Fig. 9), or ``-1`` if absent."""
-        if self._index_positions is None:
-            self._index_positions = {
-                eid_: pos for pos, eid_ in enumerate(self.indices)}
-        return self._index_positions.get(eid, -1)
+        try:
+            position = indexOf(self.trace.eid_column(), eid)
+        except ValueError:
+            return -1
+        return self.offset_of(position)
 
     def window(self, eid: int, radius: int) -> list[TraceEntry]:
         """``win``: the entries of this view whose view-position lies within

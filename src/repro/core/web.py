@@ -1,13 +1,19 @@
 """The view web: every view of a trace, linked through trace indices.
 
-The web is *lazy and columnar*: views of a type are materialised only
-when something asks for that type — one O(n) pass per demanded
-:class:`~repro.core.views.ViewType`, each view storing its member
-indices as an ``array('I')`` column — and the per-object / per-thread
-correlation metadata of Sec. 3.1 is gathered in its own single pass on
-first access.  A diff that never explores, say, active-object views
-never pays for building them; ``built_view_types()`` exposes what has
-actually been materialised (the laziness contract the tests pin down).
+The web is *lazy and columnar*.  It reads the trace's
+:class:`~repro.core.columns.ViewColumns` — the thread, method, target
+and active-object key of every position — and never builds an entry to
+do so: on a v3-loaded trace those columns come straight from the
+decoder, so a stored diff builds only the entries it reports (its
+difference sequences) and the rare fork entries whose payload carries a
+thread's spawn ancestry.  Views of a type are materialised only when
+something asks for that type — one pass over that type's key column,
+each view storing its member positions as an ``array('I')`` column —
+and the per-object / per-thread correlation metadata of Sec. 3.1 is
+gathered on first access from the target column and the fork positions.
+A diff that never explores, say, active-object views never pays for
+building them; ``built_view_types()`` exposes what has actually been
+materialised (the laziness contract the tests pin down).
 """
 
 from __future__ import annotations
@@ -16,12 +22,12 @@ import threading
 from array import array
 from dataclasses import dataclass
 
+from repro.core.columns import FORK_CODE, INIT_CODE, kind_positions
 from repro.core.entries import TraceEntry
-from repro.core.events import Fork, Init, StackFrame
+from repro.core.events import StackFrame
 from repro.core.traces import Trace
 from repro.core.values import ValueRep
-from repro.core.views import (KEY_MAPPINGS, View, ViewName, ViewType,
-                              view_names)
+from repro.core.views import COLUMN_KEYS, View, ViewName, ViewType, view_names
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,10 +66,7 @@ class ViewWeb:
         #: Per-type raw-key lookup tables (``kappa -> View``), one per
         #: materialised type.  The hot paths go through these: hashing a
         #: tid/method/location is much cheaper than hashing a ViewName.
-        self._thread_views: dict | None = None
-        self._method_views: dict | None = None
-        self._target_views: dict | None = None
-        self._active_views: dict | None = None
+        self._typed: dict[ViewType, dict] = {}
         self._objects: dict[int, ObjectInfo] | None = None
         self._threads: dict[int, ThreadInfo] | None = None
         # Lazy builds are guarded so concurrent thread-pair evaluations
@@ -72,62 +75,56 @@ class ViewWeb:
         # window-key caches token views by id()).
         self._build_lock = threading.RLock()
 
+    @property
+    def columns(self):
+        """The trace's :class:`~repro.core.columns.ViewColumns`."""
+        return self.trace.view_columns()
+
     # -- lazy construction -------------------------------------------------
 
     def built_view_types(self) -> frozenset[ViewType]:
         """The view types materialised so far (laziness introspection)."""
-        return frozenset(vtype for vtype in ViewType
-                         if self._typed(vtype) is not None)
+        return frozenset(self._typed)
 
-    def _typed(self, vtype: ViewType) -> dict | None:
-        if vtype is ViewType.THREAD:
-            return self._thread_views
-        if vtype is ViewType.METHOD:
-            return self._method_views
-        if vtype is ViewType.TARGET_OBJECT:
-            return self._target_views
-        if vtype is ViewType.ACTIVE_OBJECT:
-            return self._active_views
-        raise ValueError(f"unknown view type: {vtype!r}")
-
-    def _ensure_type(self, vtype: ViewType) -> dict:
-        typed = self._typed(vtype)
+    def typed_views(self, vtype: ViewType) -> dict:
+        """The ``kappa -> View`` table of one view type, built on first
+        demand."""
+        typed = self._typed.get(vtype)
         if typed is not None:
             return typed
         with self._build_lock:
             return self._build_type(vtype)
 
     def _build_type(self, vtype: ViewType) -> dict:
-        typed = self._typed(vtype)
+        typed = self._typed.get(vtype)
         if typed is not None:  # raced: another thread built it first
             return typed
-        key_of = KEY_MAPPINGS[vtype]
-        columns: dict[object, array] = {}
-        for position, entry in enumerate(self.trace.entries):
-            key = key_of(entry)
-            if key is None:
-                continue
-            column = columns.get(key)
+        if vtype not in COLUMN_KEYS:
+            raise ValueError(f"unknown view type: {vtype!r}")
+        # Group positions by key, in order of first appearance, noting
+        # each position's offset inside its view as it goes.
+        groups: dict[object, array] = {}
+        get = groups.get
+        keys = COLUMN_KEYS[vtype](self.columns)
+        offsets = array("I", [0]) * len(keys)
+        for position, key in enumerate(keys):
+            column = get(key)
             if column is None:
-                columns[key] = column = array("I")
+                groups[key] = column = array("I")
+            offsets[position] = len(column)
             column.append(position)
+        groups.pop(None, None)  # the bottom case: no view of this type
         typed = {}
-        for key, column in columns.items():
+        for key, column in groups.items():
             name = ViewName(vtype, key)
-            typed[key] = self._views[name] = View(name, self.trace, column)
-        if vtype is ViewType.THREAD:
-            self._thread_views = typed
-        elif vtype is ViewType.METHOD:
-            self._method_views = typed
-        elif vtype is ViewType.TARGET_OBJECT:
-            self._target_views = typed
-        else:  # _typed() has already rejected non-members
-            self._active_views = typed
+            typed[key] = self._views[name] = View(name, self.trace, column,
+                                                  offsets)
+        self._typed[vtype] = typed
         return typed
 
     def _ensure_all(self) -> None:
         for vtype in ViewType:
-            self._ensure_type(vtype)
+            self.typed_views(vtype)
 
     @property
     def objects(self) -> dict[int, ObjectInfo]:
@@ -148,67 +145,53 @@ class ViewWeb:
             self._build_metadata_locked()
 
     def _build_metadata_locked(self) -> None:
+        columns = self.columns
+        # Each object is described by the first entry that targets it
+        # (its init, when the trace saw the creation).
         objects: dict[int, ObjectInfo] = {}
-        seen_tids: dict[int, ThreadInfo] = {}
-        for entry in self.trace.entries:
-            self._note_metadata(entry, objects, seen_tids)
+        targets = columns.targets
+        for location, position in targets.first_positions():
+            rep = columns.rep_of(targets.ids[position])
+            objects[location] = ObjectInfo(
+                location=location,
+                class_name=rep.class_name,
+                creation_seq=rep.creation_seq,
+                serialization=rep.serialization,
+                init_eid=(columns.eids[position]
+                          if columns.kinds[position] == INIT_CODE
+                          else None))
+        # Only fork entries are built: their payload is the ancestry.
+        threads: dict[int, ThreadInfo] = {}
+        entries = self.trace.entries
+        for position in kind_positions(columns.kinds, FORK_CODE):
+            entry = entries[position]
+            threads[entry.event.child_tid] = ThreadInfo(
+                tid=entry.event.child_tid,
+                ancestry=entry.event.ancestry,
+                fork_eid=entry.eid)
         # Threads that never appear in a fork event (e.g. the main thread)
         # still deserve ThreadInfo records.
         for tid in self.trace.thread_ids():
-            if tid not in seen_tids:
-                seen_tids[tid] = ThreadInfo(tid=tid, ancestry=(),
-                                            fork_eid=None)
+            if tid not in threads:
+                threads[tid] = ThreadInfo(tid=tid, ancestry=(),
+                                          fork_eid=None)
         self._objects = objects
-        self._threads = seen_tids
-
-    def _note_metadata(self, entry: TraceEntry,
-                       objects: dict[int, ObjectInfo],
-                       seen_tids: dict[int, ThreadInfo]) -> None:
-        event = entry.event
-        if isinstance(event, Init):
-            obj = event.obj
-            if obj.location is not None and obj.location not in objects:
-                objects[obj.location] = ObjectInfo(
-                    location=obj.location,
-                    class_name=obj.class_name,
-                    creation_seq=obj.creation_seq,
-                    serialization=obj.serialization,
-                    init_eid=entry.eid,
-                )
-        elif isinstance(event, Fork):
-            seen_tids[event.child_tid] = ThreadInfo(
-                tid=event.child_tid,
-                ancestry=event.ancestry,
-                fork_eid=entry.eid,
-            )
-        # Objects first observed outside an init (e.g. pre-existing
-        # receivers) are registered lazily from any event target.
-        target = event.target()
-        if (target is not None and target.location is not None
-                and target.location not in objects):
-            objects[target.location] = ObjectInfo(
-                location=target.location,
-                class_name=target.class_name,
-                creation_seq=target.creation_seq,
-                serialization=target.serialization,
-                init_eid=None,
-            )
+        self._threads = threads
 
     # -- lookup -----------------------------------------------------------
 
     def view(self, name: ViewName) -> View | None:
-        return self._ensure_type(name.vtype).get(name.key)
+        return self.typed_views(name.vtype).get(name.key)
 
     def typed_view(self, vtype: ViewType, key) -> View | None:
-        """Raw-key lookup (``<chi, kappa>`` without a ViewName object);
-        the differencing hot paths resolve views through this."""
-        return self._ensure_type(vtype).get(key)
+        """Raw-key lookup (``<chi, kappa>`` without a ViewName object)."""
+        return self.typed_views(vtype).get(key)
 
     def views_of_type(self, vtype: ViewType) -> list[View]:
-        return list(self._ensure_type(vtype).values())
+        return list(self.typed_views(vtype).values())
 
     def view_names_of_type(self, vtype: ViewType) -> list[ViewName]:
-        return [view.name for view in self._ensure_type(vtype).values()]
+        return [view.name for view in self.typed_views(vtype).values()]
 
     def all_views(self) -> list[View]:
         self._ensure_all()
